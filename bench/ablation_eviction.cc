@@ -187,8 +187,7 @@ main()
     print_block("hot/cold synthetic (70 % hot reuse)", "hotcold",
                 workload_cells, 1.05);
 
-    bench::reportParallelism(std::cout, pool, timer.seconds(),
-                             cell_seconds);
+    bench::reportParallelism(std::cout, pool, timer);
     bench::finishReport(report, std::cout, timer.seconds(),
                         cell_seconds);
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -25,11 +26,25 @@
 namespace mosaic::bench
 {
 
-/** Wall-clock stopwatch for speedup reporting. */
+/** Process CPU seconds so far, all threads (user + system). */
+inline double
+processCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/** Wall-clock and process-CPU stopwatch for parallelism reporting. */
 class WallTimer
 {
   public:
-    WallTimer() : start_(std::chrono::steady_clock::now()) {}
+    WallTimer()
+        : start_(std::chrono::steady_clock::now()),
+          cpuStart_(processCpuSeconds())
+    {
+    }
 
     double
     seconds() const
@@ -39,33 +54,33 @@ class WallTimer
             .count();
     }
 
+    /** Process CPU seconds spent since construction. */
+    double cpuSeconds() const { return processCpuSeconds() - cpuStart_; }
+
   private:
     std::chrono::steady_clock::time_point start_;
+    double cpuStart_;
 };
 
 /**
  * Report how a parallel sweep went: worker count, wall-clock time,
- * and — when the sum of per-cell times is known — the achieved
- * speedup over running the same cells serially.
+ * the process CPU seconds spent meanwhile, and CPU/wall — the cores
+ * the run kept busy on average. Unlike a sum of per-cell elapsed
+ * times, CPU time neither double-counts work that cells share nor
+ * inflates when more threads than cores take turns.
  */
 inline void
 reportParallelism(std::ostream &os, const ThreadPool &pool,
-                  double wall_seconds, double cell_seconds = 0.0)
+                  const WallTimer &timer)
 {
+    const double wall = timer.seconds();
+    const double cpu = timer.cpuSeconds();
     char line[160];
-    if (cell_seconds > 0.0 && wall_seconds > 0.0) {
-        std::snprintf(line, sizeof line,
-                      "threads=%u (MOSAIC_THREADS overrides)  "
-                      "wall=%.2fs  serial-equivalent=%.2fs  "
-                      "speedup=%.2fx",
-                      pool.threadCount(), wall_seconds, cell_seconds,
-                      cell_seconds / wall_seconds);
-    } else {
-        std::snprintf(line, sizeof line,
-                      "threads=%u (MOSAIC_THREADS overrides)  "
-                      "wall=%.2fs",
-                      pool.threadCount(), wall_seconds);
-    }
+    std::snprintf(line, sizeof line,
+                  "threads=%u (MOSAIC_THREADS overrides)  wall=%.2fs  "
+                  "cpu=%.2fs  cpu/wall=%.2f",
+                  pool.threadCount(), wall, cpu,
+                  wall > 0.0 ? cpu / wall : 0.0);
     os << line << "\n";
 }
 
@@ -83,8 +98,8 @@ printTable(const TextTable &table, std::ostream &os)
 
 /**
  * parallelFor wrapper that times every task and returns the summed
- * per-cell wall-clock seconds (the serial-equivalent cost), for
- * reportParallelism's speedup line.
+ * per-cell wall-clock seconds (the serial-equivalent cost recorded in
+ * a report's timing section).
  */
 template <typename Fn>
 inline double

@@ -175,8 +175,7 @@ main()
     }
 
     std::cout << "\n";
-    bench::reportParallelism(std::cout, pool, timer.seconds(),
-                             cell_seconds);
+    bench::reportParallelism(std::cout, pool, timer);
     bench::finishReport(report, std::cout, timer.seconds(),
                         cell_seconds);
 

@@ -85,6 +85,52 @@ BM_MosaicFillToc(benchmark::State &state)
 }
 BENCHMARK(BM_MosaicFillToc)->Arg(4)->Arg(16)->Arg(64);
 
+/**
+ * The miss path on a full array: every reference is a never-seen
+ * page, so each iteration is a missed lookup plus a fill that evicts
+ * the LRU entry. At 1024 ways (fully associative) the victim choice
+ * and the tag index stay O(1), so this runs within a small factor of
+ * the 4-way scan (CI gates the ratio).
+ */
+void
+BM_VanillaFillEvict(benchmark::State &state)
+{
+    const auto ways = static_cast<unsigned>(state.range(0));
+    VanillaTlb tlb(TlbGeometry{1024, ways});
+    Vpn v = 0;
+    for (; v < 1024; ++v)
+        tlb.fill(1, v, v);
+    for (auto _ : state) {
+        const auto hit = tlb.lookup(1, v);
+        benchmark::DoNotOptimize(hit);
+        if (!hit)
+            tlb.fill(1, v, v);
+        ++v;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_VanillaFillEvict)->Arg(4)->Arg(1024);
+
+void
+BM_MosaicFillEvict(benchmark::State &state)
+{
+    const auto ways = static_cast<unsigned>(state.range(0));
+    MosaicTlb tlb(TlbGeometry{1024, ways}, 4);
+    const std::vector<Cpfn> toc(4, 9);
+    Vpn v = 0;
+    for (; v < 4 * 1024; v += 4)
+        tlb.fill(1, v, toc, 0x7F);
+    for (auto _ : state) {
+        const auto hit = tlb.lookup(1, v);
+        benchmark::DoNotOptimize(hit);
+        if (!hit)
+            tlb.fill(1, v, toc, 0x7F);
+        v += 4;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MosaicFillEvict)->Arg(4)->Arg(1024);
+
 void
 BM_MosaicConventionalLookup(benchmark::State &state)
 {

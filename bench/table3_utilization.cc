@@ -127,8 +127,7 @@ main()
     bench::printTable(table, std::cout);
 
     std::cout << "\n";
-    bench::reportParallelism(std::cout, pool, timer.seconds(),
-                             cell_seconds);
+    bench::reportParallelism(std::cout, pool, timer);
     bench::finishReport(report, std::cout, timer.seconds(),
                         cell_seconds);
 

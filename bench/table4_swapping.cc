@@ -134,8 +134,7 @@ main()
         std::cout << "\n";
     }
 
-    bench::reportParallelism(std::cout, pool, timer.seconds(),
-                             cell_seconds);
+    bench::reportParallelism(std::cout, pool, timer);
     bench::finishReport(report, std::cout, timer.seconds(),
                         cell_seconds);
     std::cout << "\n";

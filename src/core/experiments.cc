@@ -1,6 +1,8 @@
 #include "core/experiments.hh"
 
 #include <chrono>
+#include <functional>
+#include <memory>
 
 #include "core/batch_pipeline.hh"
 #include "core/translation_sim.hh"
@@ -133,23 +135,61 @@ runTable4Cell(WorkloadKind kind, const Table4Options &options,
     return sample;
 }
 
-} // namespace
+/**
+ * A workload's reference stream, recorded once so that every ways
+ * cell of a Figure 6 panel replays the identical trace. References
+ * are packed into 8 bytes (vaddr << 1 | write; virtual addresses are
+ * far below 2^63) and stored in fixed 64 Ki-reference chunks, so
+ * recording never copies what it already holds.
+ */
+class RecordedStream final : public AccessSink
+{
+  public:
+    void
+    access(Addr vaddr, bool write) override
+    {
+        if (used_ == chunkRefs) {
+            chunks_.push_back(
+                std::make_unique_for_overwrite<std::uint64_t[]>(
+                    chunkRefs));
+            used_ = 0;
+        }
+        chunks_.back()[used_++] = vaddr << 1 | (write ? 1 : 0);
+    }
 
+    /** Feed the recorded references to @p sink, in order. */
+    void
+    replay(AccessSink &sink) const
+    {
+        for (std::size_t c = 0; c < chunks_.size(); ++c) {
+            const std::uint64_t *refs = chunks_[c].get();
+            const std::size_t n =
+                c + 1 == chunks_.size() ? used_ : chunkRefs;
+            for (std::size_t i = 0; i < n; ++i)
+                sink.access(refs[i] >> 1, (refs[i] & 1) != 0);
+        }
+    }
+
+  private:
+    static constexpr std::size_t chunkRefs = std::size_t{64} << 10;
+
+    std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
+    std::size_t used_ = chunkRefs;
+};
+
+/**
+ * Simulate cell @p ways_index of a Figure 6 panel: build the cell's
+ * TranslationSim and let @p feed deliver the panel's data stream
+ * into it (scalar, or batched per MOSAIC_BATCH).
+ */
 Fig6Cell
-runFig6Cell(WorkloadKind kind, const Fig6Options &options,
-            std::size_t ways_index)
+simulateFig6Cell(const Fig6Options &options, std::size_t ways_index,
+                 std::uint64_t footprint_bytes,
+                 const std::function<void(AccessSink &)> &feed)
 {
     const auto start = Clock::now();
-
-    // The reference stream is shared by every cell of the panel (the
-    // figure compares TLB geometries on one trace), so the workload
-    // and sim seeds come from options.seed alone; this cell merely
-    // owns private generator instances.
-    const std::unique_ptr<Workload> workload =
-        makeFig6Workload(kind, options.scale, options.seed);
-
     TranslationSimConfig config;
-    config.memory = ampleGeometry(workload->info().footprintBytes);
+    config.memory = ampleGeometry(footprint_bytes);
     config.tlbEntries = options.tlbEntries;
     config.waysList = {options.waysList.at(ways_index)};
     config.arities = options.arities;
@@ -173,14 +213,14 @@ runFig6Cell(WorkloadKind kind, const Fig6Options &options,
     TranslationSim sim(config);
     if (const unsigned block = batchBlockFromEnv(); block > 1) {
         BatchTranslationSink sink(sim, block);
-        workload->run(sink);
+        feed(sink);
         sink.flush();
     } else {
-        workload->run(sim);
+        feed(sim);
     }
 
     Fig6Cell cell;
-    cell.footprintBytes = workload->info().footprintBytes;
+    cell.footprintBytes = footprint_bytes;
     cell.accesses = sim.totalAccesses();
     cell.row.ways = options.waysList.at(ways_index);
     cell.row.vanillaMisses = sim.vanillaStats(0).misses;
@@ -190,21 +230,60 @@ runFig6Cell(WorkloadKind kind, const Fig6Options &options,
     return cell;
 }
 
+} // namespace
+
+Fig6Cell
+runFig6Cell(WorkloadKind kind, const Fig6Options &options,
+            std::size_t ways_index)
+{
+    const auto start = Clock::now();
+
+    // The reference stream is shared by every cell of the panel (the
+    // figure compares TLB geometries on one trace), so the workload
+    // and sim seeds come from options.seed alone; this cell merely
+    // owns a private generator instance and streams it straight in.
+    const std::unique_ptr<Workload> workload =
+        makeFig6Workload(kind, options.scale, options.seed);
+    Fig6Cell cell = simulateFig6Cell(
+        options, ways_index, workload->info().footprintBytes,
+        [&](AccessSink &sink) { workload->run(sink); });
+    cell.seconds = secondsSince(start);
+    return cell;
+}
+
 Fig6Result
 runFig6(WorkloadKind kind, const Fig6Options &options,
         ThreadPool &pool)
 {
+    // Generate the panel's stream once; the generator's memory is
+    // released before the cells build their simulators.
+    const auto start = Clock::now();
+    RecordedStream stream;
+    std::uint64_t footprint = 0;
+    {
+        const std::unique_ptr<Workload> workload =
+            makeFig6Workload(kind, options.scale, options.seed);
+        footprint = workload->info().footprintBytes;
+        workload->run(stream);
+    }
+    const double generate_seconds = secondsSince(start);
+
+    // Each cell is one task owning its simulator from construction
+    // to the last reference, so its allocations stay in one thread.
     std::vector<Fig6Cell> cells(options.waysList.size());
     parallelFor(pool, cells.size(), [&](std::size_t w) {
-        cells[w] = runFig6Cell(kind, options, w);
+        cells[w] = simulateFig6Cell(
+            options, w, footprint,
+            [&](AccessSink &sink) { stream.replay(sink); });
     });
 
     Fig6Result result;
     result.kind = kind;
     result.arities = options.arities;
+    result.footprintBytes = footprint;
+    result.cellSeconds = generate_seconds;
     for (Fig6Cell &cell : cells) {
         // Identical across cells (one shared reference stream).
-        result.footprintBytes = cell.footprintBytes;
         result.accesses = cell.accesses;
         result.cellSeconds += cell.seconds;
         result.rows.push_back(std::move(cell.row));

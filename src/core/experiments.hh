@@ -14,9 +14,10 @@
  *               across over-commit factors (Table 4).
  *
  * Parallelism and determinism (see DESIGN.md §8): every sweep is
- * decomposed into independent *cells* — one ways value for Figure 6,
- * one repetition for Tables 3/4 — each of which builds its own
- * TLB/page-table/allocator stack and owns its RNG streams outright.
+ * decomposed into independent *cells* — one ways value for Figure 6
+ * (replaying the panel's one recorded stream), one repetition for
+ * Tables 3/4 — each of which builds its own TLB/page-table/allocator
+ * stack and owns its RNG streams outright.
  * A cell's streams are a pure function of (options.seed, cell
  * identity) via experimentCellSeed(), never a shared generator, so
  * results are bit-identical at any thread count. Cells run on a
@@ -93,8 +94,9 @@ struct Fig6Result
     std::vector<unsigned> arities;
     std::vector<Fig6Row> rows;
 
-    /** Sum of per-cell wall-clock seconds (the serial-equivalent
-     *  cost). Timing only — not deterministic, never compared. */
+    /** Stream generation plus the sum of per-cell wall-clock
+     *  seconds (the serial-equivalent cost). Timing only — not
+     *  deterministic, never compared. */
     double cellSeconds = 0.0;
 };
 
@@ -105,7 +107,10 @@ struct Fig6Result
  * Figure 6 cells deliberately share one reference stream: the figure
  * compares TLB geometries *on the same trace*, so the workload and
  * kernel streams are derived from options.seed alone (not the cell
- * index) and each cell re-derives identical private copies.
+ * index). runFig6Cell generates its own identical copy of the stream
+ * and feeds it straight in — the resumable unit of the fig6 bench;
+ * runFig6 generates it once per panel and replays it to every cell.
+ * Both simulate through the same cell function.
  */
 struct Fig6Cell
 {
@@ -120,8 +125,9 @@ struct Fig6Cell
 Fig6Cell runFig6Cell(WorkloadKind kind, const Fig6Options &options,
                      std::size_t ways_index);
 
-/** Run all cells of one panel on @p pool and assemble the result in
- *  waysList order. */
+/** Generate one panel's stream once, replay it to every cell on
+ *  @p pool (one task per cell), and assemble the result in waysList
+ *  order. Rows equal runFig6Cell's for every cell. */
 Fig6Result runFig6(WorkloadKind kind, const Fig6Options &options,
                    ThreadPool &pool);
 

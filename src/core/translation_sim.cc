@@ -1,5 +1,7 @@
 #include "core/translation_sim.hh"
 
+#include <algorithm>
+
 #include "tlb/design_registry.hh"
 #include "util/log.hh"
 
@@ -80,13 +82,13 @@ void
 TranslationSim::DesignWalker::tocOf(Asid asid, Vpn vpn, unsigned arity,
                                     std::span<Cpfn> out)
 {
-    const Cpfn unmapped = unmappedCode();
-    const Vpn first = vpn & ~Vpn{arity - 1};
-    for (unsigned i = 0; i < arity; ++i) {
-        const Cpfn *cpfn =
-            sim_.designCpfns_.find(packPageId(PageId{asid, first + i}));
-        out[i] = cpfn != nullptr ? *cpfn : unmapped;
-    }
+    const auto *pt = sim_.mosaicPts_.find(asid);
+    const std::span<const Cpfn> leaf =
+        pt != nullptr ? (*pt)->walk(vpn).toc : std::span<const Cpfn>{};
+    if (leaf.empty())
+        std::ranges::fill(out, unmappedCode());
+    else
+        std::ranges::copy((*pt)->tocAs(leaf, vpn, arity), out.begin());
 }
 
 Cpfn
@@ -104,18 +106,15 @@ TranslationSim::vanillaPtFor(Asid asid)
     return *pt;
 }
 
-TranslationSim::MosaicPtSet &
-TranslationSim::mosaicPtsFor(Asid asid)
+MosaicPageTable &
+TranslationSim::mosaicPtFor(Asid asid)
 {
-    auto [set, inserted] = mosaicPts_.emplace(asid);
+    auto [pt, inserted] = mosaicPts_.emplace(asid);
     if (inserted) {
-        const Cpfn unmapped = allocator_.mapper().codec().invalid();
-        for (const unsigned arity : config_.arities) {
-            set.push_back(
-                std::make_unique<MosaicPageTable>(arity, unmapped));
-        }
+        pt = std::make_unique<MosaicPageTable>(
+            maxArity, allocator_.mapper().codec().invalid());
     }
-    return set;
+    return *pt;
 }
 
 const TlbStats &
@@ -158,7 +157,7 @@ TranslationSim::mosaicPfnOf(Vpn vpn) const
 {
     auto *self = const_cast<TranslationSim *>(this);
     const MosaicWalkResult walk =
-        self->mosaicPtsFor(activeAsid_).front()->walk(vpn);
+        self->mosaicPtFor(activeAsid_).walk(vpn);
     if (!walk.present)
         return invalidPfn;
     const CandidateSet cand = allocator_.mapper().candidates(
@@ -169,6 +168,13 @@ TranslationSim::mosaicPfnOf(Vpn vpn) const
 void
 TranslationSim::ensureMapped(Vpn vpn)
 {
+    // Nothing here ever unmaps, so the page ensured last is still
+    // mapped: a run of references to one page walks once.
+    if (vpn == lastMappedVpn_ && activeAsid_ == lastMappedAsid_)
+        return;
+    lastMappedVpn_ = vpn;
+    lastMappedAsid_ = activeAsid_;
+
     VanillaPageTable &vanilla_pt = vanillaPtFor(activeAsid_);
     if (vanilla_pt.walk(vpn).present)
         return;
@@ -189,14 +195,7 @@ TranslationSim::ensureMapped(Vpn vpn)
               "(associativity conflict during demand mapping)");
     }
     frames_.map(placement->pfn, PageId{activeAsid_, vpn}, clock_);
-    for (auto &pt : mosaicPtsFor(activeAsid_))
-        pt->setCpfn(vpn, placement->cpfn);
-    if (!designs_.empty()) {
-        auto [cpfn, inserted] =
-            designCpfns_.emplace(packPageId(PageId{activeAsid_, vpn}));
-        cpfn = placement->cpfn;
-        (void)inserted;
-    }
+    mosaicPtFor(activeAsid_).setCpfn(vpn, placement->cpfn);
     ++mappedPages_;
 }
 
@@ -239,19 +238,22 @@ TranslationSim::translate(Vpn vpn, bool kernel)
         }
     }
 
+    // One walk of the CPFN record, on the first miss, serves every
+    // arity's fills.
     const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = mosaicPtsFor(asid);
-    for (std::size_t a = 0; a < pts.size(); ++a) {
-        bool walked = false;
-        MosaicWalkResult walk;
+    const MosaicPageTable *pt = nullptr;
+    std::span<const Cpfn> leaf;
+    for (std::size_t a = 0; a < config_.arities.size(); ++a) {
         for (auto &row : mosaicTlbs_) {
             MosaicTlb &tlb = *row[a];
             if (!tlb.lookup(asid, vpn)) {
-                if (!walked) {
-                    walk = pts[a]->walk(vpn);
-                    walked = true;
+                if (pt == nullptr) {
+                    pt = &mosaicPtFor(asid);
+                    leaf = pt->walk(vpn).toc;
                 }
-                tlb.fill(asid, vpn, walk.toc, unmapped);
+                tlb.fill(asid, vpn,
+                         pt->tocAs(leaf, vpn, config_.arities[a]),
+                         unmapped);
             }
         }
     }
@@ -280,13 +282,15 @@ TranslationSim::instructionFetch()
         }
     }
     const Cpfn unmapped = allocator_.mapper().codec().invalid();
-    MosaicPtSet &pts = mosaicPtsFor(asid);
-    for (std::size_t a = 0; a < pts.size(); ++a) {
+    const MosaicPageTable &pt = mosaicPtFor(asid);
+    for (std::size_t a = 0; a < config_.arities.size(); ++a) {
         for (auto &row : itlbMosaic_) {
             MosaicTlb &tlb = *row[a];
             if (!tlb.lookup(asid, vpn)) {
-                const MosaicWalkResult walk = pts[a]->walk(vpn);
-                tlb.fill(asid, vpn, walk.toc, unmapped);
+                tlb.fill(asid, vpn,
+                         pt.tocAs(pt.walk(vpn).toc, vpn,
+                                  config_.arities[a]),
+                         unmapped);
             }
         }
     }

@@ -10,8 +10,9 @@
  * Memory is ample in this experiment (no swapping); the simulator
  * performs demand mapping: the first touch of a page allocates a
  * frame on the vanilla side (bump allocation) and a mosaic placement
- * via the iceberg allocator, then installs page-table entries in
- * every page table.
+ * via the iceberg allocator, then maps the page in the vanilla page
+ * table and records its CPFN in the address space's one CPFN record,
+ * from which the ToC of every arity is read.
  *
  * A configurable background "kernel" access stream models the
  * artifact the paper documents: the vanilla kernel is mapped with
@@ -207,9 +208,9 @@ class TranslationSim : public AccessSink
      * The designs' window onto this simulator's page tables
      * (DESIGN.md §14): full PFNs come from the vanilla page table
      * (whose bump allocation is the contiguity designs' best case),
-     * mosaic ToCs from the per-page CPFN record ensureMapped keeps —
-     * one CPFN per page, valid for every arity, so designs may use
-     * arities the mosaic grid does not instantiate.
+     * mosaic ToCs from the address space's CPFN record — one CPFN
+     * per page, valid for every arity, so designs may use arities
+     * the mosaic grid does not instantiate.
      */
     class DesignWalker final : public TranslationWalker
     {
@@ -232,16 +233,16 @@ class TranslationSim : public AccessSink
     FlatMap<Asid, std::unique_ptr<VanillaPageTable>> vanillaPts_;
     Pfn vanillaNextPfn_ = 0;
 
-    /** Mosaic page tables of one address space, one per arity. */
-    using MosaicPtSet = std::vector<std::unique_ptr<MosaicPageTable>>;
-
-    MosaicPtSet &mosaicPtsFor(Asid asid);
+    /** The CPFN record of an address space: one arity-maxArity
+     *  mosaic page table, whose leaves yield the ToC of every arity
+     *  (MosaicPageTable::tocAs). */
+    MosaicPageTable &mosaicPtFor(Asid asid);
     VanillaPageTable &vanillaPtFor(Asid asid);
 
-    // Mosaic side: per-ASID page tables, TLB grid [ways][arity].
+    // Mosaic side: per-ASID CPFN records, TLB grid [ways][arity].
     MosaicAllocator allocator_;
     FrameTable frames_;
-    FlatMap<Asid, MosaicPtSet> mosaicPts_;
+    FlatMap<Asid, std::unique_ptr<MosaicPageTable>> mosaicPts_;
     std::vector<std::vector<std::unique_ptr<MosaicTlb>>> mosaicTlbs_;
 
     // Instruction TLBs (same grid shape, fed by synthetic fetches).
@@ -251,10 +252,8 @@ class TranslationSim : public AccessSink
     /** Optional sharded multi-tenant VM engine fed the data stream. */
     std::unique_ptr<ShardedMosaicVm> shardedVm_;
 
-    // Pluggable designs (data stream only) and their walker state:
-    // CPFN by packPageId(asid, vpn), recorded only when designs exist.
+    // Pluggable designs (data stream only) and their walker.
     std::vector<std::unique_ptr<TranslationDesign>> designs_;
-    FlatMap<std::uint64_t, Cpfn> designCpfns_;
     DesignWalker designWalker_{*this};
 
     // Kernel stream state.
@@ -267,6 +266,8 @@ class TranslationSim : public AccessSink
     Rng instrRng_{0xF37C4};
 
     Asid activeAsid_;
+    Vpn lastMappedVpn_ = invalidVpn; // ensureMapped's last page
+    Asid lastMappedAsid_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t mappedPages_ = 0;
     Tick clock_ = 0;

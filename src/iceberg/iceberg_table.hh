@@ -400,7 +400,12 @@ class IcebergTable
         return h % config_.buckets;
     }
 
-    /** All n bucket choices of a key in one batched hash pass. */
+    /**
+     * All n bucket choices of a key in one batched hash pass. The
+     * front-yard choice bkts[0] always exists (n = d + 1 >= 2, as the
+     * constructor enforces), so it is written outside the loop: every
+     * caller reads it unconditionally.
+     */
     void
     probeBuckets(std::uint64_t key, std::size_t *bkts, unsigned n) const
     {
@@ -409,7 +414,8 @@ class IcebergTable
             hasher_.probeAll(key, {h, n});
         else
             hasher_.hashMany(key, {h, n});
-        for (unsigned i = 0; i < n; ++i)
+        bkts[0] = reduce(h[0]);
+        for (unsigned i = 1; i < n; ++i)
             bkts[i] = reduce(h[i]);
     }
 

@@ -71,6 +71,20 @@ class MosaicPageTable
     /** Walk for a VPN; also yields the whole ToC for TLB fill. */
     MosaicWalkResult walk(Vpn vpn) const;
 
+    /**
+     * The ToC a table of a smaller @p arity (a power of two no larger
+     * than this table's) holds for @p vpn: the arity-aligned
+     * sub-span of @p toc, this table's walk(vpn).toc. A table of
+     * arity maxArity is thus one CPFN record per page serving every
+     * arity 1..64 with the same codes MosaicPageTable(arity) would
+     * hold.
+     */
+    std::span<const Cpfn>
+    tocAs(std::span<const Cpfn> toc, Vpn vpn, unsigned arity) const
+    {
+        return toc.subspan(offsetOf(vpn) & ~(arity - 1), arity);
+    }
+
     /** Number of base pages currently mapped. */
     std::uint64_t mappedPages() const { return mapped_; }
 

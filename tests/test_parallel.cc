@@ -222,6 +222,49 @@ TEST(Determinism, Fig6BitIdenticalAtOneAndManyThreads)
     expectSameFig6(a, b);
 }
 
+TEST(Determinism, Fig6SharedStreamMatchesIndependentCells)
+{
+    // runFig6 records each panel's stream once and replays it to
+    // every ways cell; runFig6Cell generates its own copy and streams
+    // it straight in. Rows must agree for all four panels, at 1 and 4
+    // threads, scalar and batched.
+    const char *saved = std::getenv("MOSAIC_BATCH");
+    const std::string saved_batch = saved ? saved : "";
+    const WorkloadKind kinds[] = {WorkloadKind::Graph500,
+                                  WorkloadKind::BTree, WorkloadKind::Gups,
+                                  WorkloadKind::XsBench};
+    const Fig6Options o = tinyFig6();
+    for (const char *batch : {"0", "64"}) {
+        ::setenv("MOSAIC_BATCH", batch, 1);
+        for (const WorkloadKind kind : kinds) {
+            std::vector<Fig6Cell> cells;
+            for (std::size_t w = 0; w < o.waysList.size(); ++w)
+                cells.push_back(runFig6Cell(kind, o, w));
+            for (const unsigned threads : {1u, 4u}) {
+                ThreadPool pool(threads);
+                const Fig6Result r = runFig6(kind, o, pool);
+                SCOPED_TRACE(::testing::Message()
+                             << workloadName(kind) << " MOSAIC_BATCH="
+                             << batch << " threads=" << threads);
+                ASSERT_EQ(r.rows.size(), cells.size());
+                for (std::size_t w = 0; w < cells.size(); ++w) {
+                    EXPECT_EQ(r.footprintBytes, cells[w].footprintBytes);
+                    EXPECT_EQ(r.accesses, cells[w].accesses);
+                    EXPECT_EQ(r.rows[w].ways, cells[w].row.ways);
+                    EXPECT_EQ(r.rows[w].vanillaMisses,
+                              cells[w].row.vanillaMisses);
+                    EXPECT_EQ(r.rows[w].mosaicMisses,
+                              cells[w].row.mosaicMisses);
+                }
+            }
+        }
+    }
+    if (saved)
+        ::setenv("MOSAIC_BATCH", saved_batch.c_str(), 1);
+    else
+        ::unsetenv("MOSAIC_BATCH");
+}
+
 TEST(Determinism, Fig6RepeatedRunsIdentical)
 {
     // No hidden state may leak between runs on the same pool.

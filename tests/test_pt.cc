@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "pt/mosaic_page_table.hh"
 #include "pt/radix_tree.hh"
 #include "pt/vanilla_page_table.hh"
+#include "util/random.hh"
 
 namespace mosaic
 {
@@ -217,6 +221,69 @@ TEST(MosaicPt, RemapCounting)
     pt.setCpfn(3, 6); // remap: count stays 1
     EXPECT_EQ(pt.mappedPages(), 1u);
     EXPECT_EQ(pt.walk(3).cpfn, 6);
+}
+
+TEST(MosaicPt, OneRecordYieldsEveryArityToc)
+{
+    // TranslationSim keeps one arity-64 table per address space and
+    // slices every arity's ToC out of its leaves (tocAs). Under random
+    // map/remap/unmap sequences that slice must equal what a
+    // dedicated MosaicPageTable(arity) walk returns. A table walk
+    // without a leaf returns an empty ToC; it means "all unmapped".
+    constexpr Cpfn unmapped = 0x7F;
+    constexpr unsigned arities[] = {1, 2, 4, 8, 16, 32, 64};
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        Rng rng(seed + 101);
+        MosaicPageTable record(maxArity, unmapped);
+        std::vector<MosaicPageTable> tables;
+        for (const unsigned arity : arities)
+            tables.emplace_back(arity, unmapped);
+
+        const auto codes = [&](std::span<const Cpfn> toc,
+                               unsigned arity) {
+            std::vector<Cpfn> out(arity, unmapped);
+            if (!toc.empty())
+                out.assign(toc.begin(), toc.end());
+            return out;
+        };
+
+        // A few 64-page regions, so ToCs are dense enough to matter.
+        const auto pickVpn = [&] {
+            return Vpn{rng.below(6)} * 4096 + rng.below(160);
+        };
+        for (unsigned op = 0; op < 3000; ++op) {
+            const Vpn vpn = pickVpn();
+            if (rng.chance(0.7)) {
+                const auto cpfn = static_cast<Cpfn>(rng.below(0x7F));
+                record.setCpfn(vpn, cpfn);
+                for (MosaicPageTable &t : tables)
+                    t.setCpfn(vpn, cpfn);
+            } else {
+                record.clearCpfn(vpn);
+                for (MosaicPageTable &t : tables)
+                    t.clearCpfn(vpn);
+            }
+
+            const Vpn probe = pickVpn();
+            const MosaicWalkResult whole = record.walk(probe);
+            for (std::size_t a = 0; a < std::size(arities); ++a) {
+                const unsigned arity = arities[a];
+                const MosaicWalkResult ref = tables[a].walk(probe);
+                const std::vector<Cpfn> want = codes(ref.toc, arity);
+                const std::vector<Cpfn> got = codes(
+                    whole.toc.empty()
+                        ? whole.toc
+                        : record.tocAs(whole.toc, probe, arity),
+                    arity);
+                ASSERT_EQ(got, want) << "seed " << seed << " op " << op
+                                     << " vpn " << probe << " arity "
+                                     << arity;
+                ASSERT_EQ(whole.cpfn, ref.cpfn);
+                ASSERT_EQ(whole.present, ref.present);
+            }
+        }
+        EXPECT_EQ(record.mappedPages(), tables.front().mappedPages());
+    }
 }
 
 using MosaicPtDeathTest = ::testing::Test;

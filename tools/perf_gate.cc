@@ -42,9 +42,10 @@
  *                                     A spec whose series never
  *                                     appear fails the gate (stale
  *                                     config). Names are split at the
- *                                     first '/', so arg'd benchmark
- *                                     names (BM_X/50) can only be the
- *                                     denominator. Checked in compare
+ *                                     first "/BM_" (else the first
+ *                                     '/'), so arg'd benchmark names
+ *                                     (BM_X/1024/BM_X/4:2) work on
+ *                                     both sides. Checked in compare
  *                                     mode only, not under --update.
  *
  * Baseline format (written by --update, deterministic key order):
@@ -436,12 +437,15 @@ struct RatioSpec
     bool checked = false;
 };
 
-/** Parse "BM_a/BM_b:F" (names split at the first '/'). */
+/** Parse "BM_a/BM_b:F": names split at the first "/BM_", else at
+ *  the first '/' (names without the BM_ prefix). */
 std::optional<RatioSpec>
 parseRatioSpec(const std::string &spec)
 {
     const std::size_t colon = spec.rfind(':');
-    const std::size_t slash = spec.find('/');
+    std::size_t slash = spec.find("/BM_");
+    if (slash == std::string::npos)
+        slash = spec.find('/');
     if (colon == std::string::npos || slash == std::string::npos ||
             slash == 0 || slash + 1 >= colon)
         return std::nullopt;
